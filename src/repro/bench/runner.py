@@ -70,7 +70,7 @@ class ExperimentResult:
 
 
 def run_protocol(workload_factory: WorkloadFactory, cc, config: SimConfig,
-                 recorder=None, timeline_bucket: Optional[float] = None,
+                 recorder=None,
                  callbacks: Sequence[Tuple[float, Callable]] = (),
                  check_invariants: bool = True,
                  trace_sink: Optional[TraceSink] = None,
@@ -93,7 +93,7 @@ def run_protocol(workload_factory: WorkloadFactory, cc, config: SimConfig,
     """
     if getattr(cc, "requires_probe", False):
         return _run_probed(workload_factory, cc, config, recorder,
-                           timeline_bucket, check_invariants,
+                           check_invariants,
                            trace_sink, accountant, metrics, fault_plan,
                            timeline)
     workload = workload_factory()
@@ -111,8 +111,7 @@ def run_protocol(workload_factory: WorkloadFactory, cc, config: SimConfig,
     if recorder is not None:
         cc.recorder = recorder
     stats = RunStats(workload.type_names(), warmup_end=config.warmup,
-                     collect_latency=config.collect_latency,
-                     timeline_bucket=timeline_bucket)
+                     collect_latency=config.collect_latency)
     injector = None
     if fault_plan is not None:
         injector = FaultInjector(fault_plan,
@@ -278,9 +277,9 @@ def _record_run_metrics(metrics: MetricsRegistry, cc_name: str,
     if runtime is not None:
         for name, value in runtime.metrics_rows():
             metrics.gauge(name, cc=cc_name).set(value)
-        if isinstance(manager, ClusterDurability):
-            for name, value in manager.metrics_rows():
-                metrics.gauge(name, cc=cc_name).set(value)
+    if manager is not None:
+        for name, value in manager.metrics_rows():
+            metrics.gauge(name, cc=cc_name).set(value)
     for type_name, digest in stats.latency.items():
         if digest.count:
             metrics.gauge("run_latency_p99_us", cc=cc_name,
@@ -288,7 +287,7 @@ def _record_run_metrics(metrics: MetricsRegistry, cc_name: str,
 
 
 def _run_probed(workload_factory: WorkloadFactory, descriptor,
-                config: SimConfig, recorder, timeline_bucket,
+                config: SimConfig, recorder,
                 check_invariants: bool, trace_sink=None, accountant=None,
                 metrics=None, fault_plan=None,
                 timeline=None) -> ExperimentResult:
@@ -310,7 +309,7 @@ def _run_probed(workload_factory: WorkloadFactory, descriptor,
             best_factory = factory
     winner = best_factory()
     result = run_protocol(workload_factory, winner, config, recorder,
-                          timeline_bucket, check_invariants=check_invariants,
+                          check_invariants=check_invariants,
                           trace_sink=trace_sink, accountant=accountant,
                           metrics=metrics, fault_plan=fault_plan,
                           timeline=timeline)

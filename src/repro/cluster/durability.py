@@ -1,54 +1,65 @@
-"""Per-shard WALs, 2PC prepare/decision records, cluster-wide recovery.
+"""Sharded durability: 2PC prepare/decision records over per-shard WALs.
 
-Extends the single-node epoch group commit
-(:class:`~repro.durability.manager.DurabilityManager`) to N shards:
+:class:`ClusterDurability` runs the one epoch-commit pipeline of
+:class:`~repro.durability.manager.DurabilityManager` with one log device
+per shard: each shard buffers its own epoch records and flushes them on
+its own serial device, so log bandwidth scales with shard count; one
+*global* epoch clock closes all shards' epochs together (Silo/COCO-style
+synchronized epochs); an epoch is acked once it is flushed on **every**
+shard (the watermark is the min of the per-shard persistent epochs); and
+a whole-node crash truncates every shard to that watermark — epochs
+flushed on only *some* shards are discarded, which is exactly what makes
+cross-shard commits atomic under failure.  The epoch-boundary loop, the
+flush-completion/ack loop and the crash/recovery path are the base
+class's.  What this subclass adds:
 
-* **per-shard logs and flush devices** — each shard buffers its own
-  epoch records and flushes them on its own serial log device, so log
-  bandwidth scales with shard count.  One *global* epoch clock closes
-  all shards' epochs together (Silo/COCO-style synchronized epochs).
-* **the cluster watermark** — an epoch is *committed* only once its
-  flush completed on **every** shard; ``persistent_epoch`` is
-  ``min(per-shard persistent epochs)``.  Acks happen at watermark
-  advance, in seqno order, cluster-wide.
-* **2PC records** — a cross-shard commit writes one
-  :class:`PrepareRecord` per participant shard (the participant's write
-  images, naming the coordinator) and one :class:`DecisionRecord` on the
-  coordinator (its own images, naming the participants), all in the same
-  epoch, at the shared install point.  Asynchronous decision messages
-  then travel the simulated network; on arrival each participant appends
-  a :class:`DecisionMarker` to its log (deduplicating duplicates), which
-  is what lets a *later* recovery resolve the prepare locally.
-* **node crash = whole-cluster crash** — every shard truncates to the
-  watermark (epochs flushed on only *some* shards are discarded, which
-  is exactly what makes cross-shard commits atomic under failure), then
-  recovery replays the per-shard logs merged in seqno order.  A durable
-  ``PrepareRecord`` with no ``DecisionMarker`` on its shard is
-  **in doubt**: recovery consults the coordinator shard's durable log —
-  a durable ``DecisionRecord`` means commit (apply the images), absence
-  means **presumed abort** (skip them).  With synchronized epochs the
-  abort branch is unreachable after a whole-cluster crash (prepare and
-  decision share an epoch, and the watermark covers whole epochs on all
-  shards); it is the safety net for the general protocol and is
-  exercised directly by unit tests on hand-built logs.
+* **routing and 2PC records** (:meth:`ClusterDurability.log_commit`) —
+  write images go to their owning shard's WAL.  A cross-shard commit
+  writes one :class:`PrepareRecord` per participant shard (the
+  participant's images, naming the coordinator) and one
+  :class:`DecisionRecord` on the coordinator (its own images, naming the
+  participants), all in the same epoch, at the shared install point.
+  Records also carry the commit's read set, which a shard crash chases.
+* **decision messages** — asynchronous decisions travel the simulated
+  network; on arrival each participant appends a :class:`DecisionMarker`
+  to its log (deduplicating duplicates), which is what lets a *later*
+  recovery resolve the prepare locally.
+* **which records ack or replay** — plain records and decision records
+  ack (prepares and markers do not); records of transactions voided by a
+  shard crash never ack, register or replay.  At whole-node recovery a
+  durable ``PrepareRecord`` with no ``DecisionMarker`` on its shard is
+  **in doubt** (:meth:`ClusterDurability.resolve_in_doubt`): a durable
+  ``DecisionRecord`` on the coordinator means commit, absence means
+  **presumed abort** (its images are not replayed).  With synchronized
+  epochs the abort branch is unreachable after a whole-cluster crash; it
+  is the safety net for the general protocol and is exercised directly
+  by unit tests on hand-built logs.
+* **the live-shard watermark** — while a shard is down the watermark is
+  the min over **live** shards, and down shards neither buffer nor
+  flush.
+* **re-sharding on a database swap** — the recovered database's tables
+  are wrapped in ``ShardedTable`` before the protocol re-binds them.
 * **partial failure** (:meth:`ClusterDurability.shard_crash`) — exactly
   one shard halts while the rest keep running: its pinned workers die,
-  its WAL truncates to *its own* persistent epoch, and the cluster
-  watermark becomes the min over **live** shards for the duration of
-  the outage.  Transactions staged only in the crashed shard's
-  truncated suffix are *voided* — dependency-closed via the records'
-  read sets, rolled back out of the live database, and never acked even
-  where sibling prepare/decision records are already durable elsewhere
-  (those stay in the durable logs as residue, which is what a later
-  recovery resolves against).  Survivors' durable prepares whose
-  coordinator died **block in doubt** until the shard rejoins; rejoin
-  consults the recovered coordinator log and — finding no decision —
-  fires **presumed abort against live survivors**
+  its WAL truncates to *its own* persistent epoch, and transactions
+  staged only in the truncated suffix are *voided* — dependency-closed
+  via the records' read sets, rolled back out of the live database, and
+  never acked even where sibling prepare/decision records are already
+  durable elsewhere (those stay in the durable logs as residue, which is
+  what a later recovery resolves against).  Survivors' durable prepares
+  whose coordinator died **block in doubt** until the shard rejoins;
+  rejoin consults the recovered coordinator log and — finding no
+  decision — fires **presumed abort against live survivors**
   (:meth:`ClusterDurability.resolve_blocked`), the only path where the
   abort branch is reachable outside hand-built tests.  The recovered
   shard re-joins *behind* the live watermark (its clock jumps to the
   open epoch) and fresh workers restart on it after recovery plus the
   scripted extra downtime.
+* **the shard-outage refund** — a whole-node crash during a shard
+  outage ends the outage at the crash instant: the recovery time
+  pre-charged to the shard's workers beyond it is refunded, and the
+  timeline's recovery/down columns and the downtime metric are cut back
+  to match.
 
 The acked prefix remains dependency-closed for the same reason as on a
 single node — acks follow seqno order under a watermark that only ever
@@ -62,12 +73,10 @@ ever depend on data a single-shard crash loses.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Dict, List, Set, Tuple, TYPE_CHECKING
 
-from ..durability.log import LogRecord, WriteImage, apply_record
-from ..durability.manager import (Checkpoint, DurabilityManager,
-                                  RecoveryReport, RESTART_RNG_SALT)
-from ..durability.oracle import verify_recovery
+from ..durability.log import LogRecord, WriteImage
+from ..durability.manager import DurabilityManager
 from ..errors import AbortReason, ReproError, TransactionAborted
 from ..obs.tracing import EventKind, TraceEvent
 from ..rng import spawn_rng
@@ -95,6 +104,8 @@ class PrepareRecord(LogRecord):
 
     __slots__ = ("coordinator",)
 
+    acked = False
+
     def __init__(self, *args, coordinator: int = -1, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         #: home shard of the coordinator (where the DecisionRecord lives)
@@ -118,6 +129,8 @@ class DecisionMarker(LogRecord):
     images and is never acked."""
 
     __slots__ = ("origin",)
+
+    acked = False
 
     def __init__(self, *args, origin: int = -1, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -167,37 +180,22 @@ class ShardCrashReport:
 
 
 class ClusterDurability(DurabilityManager):
-    """Sharded WAL + 2PC records over the single-node epoch machinery."""
+    """2PC records, decision messages and partial failures over the
+    epoch pipeline, with one log device per shard."""
+
+    trace_epoch_shards = True
 
     def __init__(self, config: "SimConfig", db: Database, workload, cc,
                  stats: "RunStats", runtime: "ClusterRuntime") -> None:
         super().__init__(config, db, workload, cc, stats)
         self.runtime = runtime
-        self.n_shards = runtime.n_shards
-        # -- per-shard log state ----------------------------------------- #
-        #: current-epoch buffers, one per shard (append order = seqno
-        #: order: every append takes a fresh global seqno under the
-        #: install lock)
-        self._shard_buffers: List[List[LogRecord]] = [
-            [] for _ in range(self.n_shards)]
-        #: per-shard serial log device free times
-        self._shard_flush_free: List[float] = [0.0] * self.n_shards
-        #: per-shard in-flight flushes: epoch -> records
-        self._shard_inflight: List[Dict[int, List[LogRecord]]] = [
-            {} for _ in range(self.n_shards)]
-        #: per-shard latest flushed epoch; the cluster watermark
-        #: (``persistent_epoch``) is the min over shards
-        self._shard_persistent: List[int] = [0] * self.n_shards
-        #: flushed records awaiting watermark coverage: epoch -> shard ->
-        #: records (durable on their own shard, not yet cluster-committed)
-        self._awaiting: Dict[int, Dict[int, List[LogRecord]]] = {}
+        n = self.n_devices
         #: the durable per-shard logs (watermark-covered, seqno order)
-        self.shard_logs: List[List[LogRecord]] = [
-            [] for _ in range(self.n_shards)]
+        self.shard_logs: List[List[LogRecord]] = [[] for _ in range(n)]
         # -- 2PC state ---------------------------------------------------- #
         #: per-shard txn ids whose decision arrived (message dedup + the
         #: runtime marker set; rebuilt from durable markers at recovery)
-        self._decided: List[Set[int]] = [set() for _ in range(self.n_shards)]
+        self._decided: List[Set[int]] = [set() for _ in range(n)]
         #: txn ids with a *durable* DecisionRecord (the consult target of
         #: in-doubt recovery)
         self._decision_txns: Set[int] = set()
@@ -205,11 +203,6 @@ class ClusterDurability(DurabilityManager):
         #: may never resolve as abort)
         self._acked_txns: Set[int] = set()
         # -- partial-failure state ----------------------------------------- #
-        #: per-shard restart generation: bumped by shard_crash so stale
-        #: flush completions and rejoin callbacks for the dead shard die,
-        #: without touching the global ``_crash_generation`` (the cluster
-        #: epoch clock and in-flight decision messages keep running)
-        self._shard_generation: List[int] = [0] * self.n_shards
         #: txn ids voided by shard crashes: durable sibling records of a
         #: truncated transaction stay in the logs as residue but are
         #: never acked, never applied to the durable view, and skipped
@@ -219,9 +212,9 @@ class ClusterDurability(DurabilityManager):
         #: down: (participant shard, record), blocked until the
         #: coordinator rejoins and its recovered log is consulted
         self._blocked: List[Tuple[int, PrepareRecord]] = []
-        #: recovery span already charged to each shard's workers by a
-        #: shard crash (a later whole-node crash refunds the overlap)
-        self._charged_down_until: List[float] = [0.0] * self.n_shards
+        #: end of the recovery span already charged to each shard's
+        #: workers by a shard crash (a whole-node crash cuts it short)
+        self._charged_down_until: List[float] = [0.0] * n
         self.shard_crash_count = 0
         self.shard_downtime_total = 0.0
         self.blocked_in_doubt_total = 0
@@ -279,7 +272,7 @@ class ClusterDurability(DurabilityManager):
                                worker_id, ctx.type_name, ctx.priority[0],
                                now, images_by_shard.get(home, []),
                                deadline=deadline, reads=reads)
-            self._shard_buffers[home].append(record)
+            self._buffers[home].append(record)
             self._pending_cost[worker_id] = (
                 self._pending_cost.get(worker_id, 0.0)
                 + self.dc.log_write * (1 + n_images))
@@ -288,12 +281,12 @@ class ClusterDurability(DurabilityManager):
         # decision on the coordinator (all in the current epoch)
         for shard in participants:
             self.seqno += 1
-            self._shard_buffers[shard].append(PrepareRecord(
+            self._buffers[shard].append(PrepareRecord(
                 self.seqno, self.current_epoch, ctx.txn_id, worker_id,
                 ctx.type_name, ctx.priority[0], now, images_by_shard[shard],
                 deadline=deadline, reads=reads, coordinator=home))
         self.seqno += 1
-        self._shard_buffers[home].append(DecisionRecord(
+        self._buffers[home].append(DecisionRecord(
             self.seqno, self.current_epoch, ctx.txn_id, worker_id,
             ctx.type_name, ctx.priority[0], now,
             images_by_shard.get(home, []), deadline=deadline, reads=reads,
@@ -343,135 +336,101 @@ class ClusterDurability(DurabilityManager):
         self._decided[shard].add(txn_id)
         self.seqno += 1
         now = self.scheduler.now
-        self._shard_buffers[shard].append(DecisionMarker(
+        self._buffers[shard].append(DecisionMarker(
             self.seqno, self.current_epoch, txn_id, -1, type_name,
             now, now, [], origin=origin))
 
     # ------------------------------------------------------------------ #
-    # the global epoch clock over per-shard flush devices
+    # pipeline hooks: live shards, durable 2PC records, recovery
 
-    def _on_epoch_boundary(self, generation: int) -> None:
-        if generation != self._crash_generation:
-            return
-        scheduler = self.scheduler
-        now = scheduler.now
-        closing = self.current_epoch
-        self.current_epoch += 1
-        scheduler.schedule_callback(
-            now + self.dc.epoch_length,
-            lambda: self._on_epoch_boundary(generation))
-        lag = closing - self.persistent_epoch
-        if lag > self.max_epoch_lag:
-            self.max_epoch_lag = lag
-        timeline = getattr(scheduler, "timeline", None)
-        shard_down = self.runtime.shard_down
-        for shard in range(self.n_shards):
-            if shard_down[shard]:
-                # a down shard neither buffers nor flushes; it rejoins
-                # behind the watermark with its clock jumped forward
-                continue
-            records = self._shard_buffers[shard]
-            self._shard_buffers[shard] = []
-            start = max(now, self._shard_flush_free[shard])
-            if records:
-                self.flushes += 1
-                if start > now:
-                    self.flush_stalls += 1
-                if timeline is not None:
-                    timeline.on_flush(now, stalled=start > now)
-                completion = start + self.dc.log_flush
-            else:
-                completion = start  # empty epoch: free ordering marker
-            self._shard_flush_free[shard] = completion
-            self._shard_inflight[shard][closing] = records
-            if completion <= now:
-                self._complete_shard_flush(shard, closing, generation,
-                                           self._shard_generation[shard])
-            else:
-                scheduler.schedule_callback(
-                    completion,
-                    lambda s=shard, g=self._shard_generation[shard]:
-                        self._complete_shard_flush(s, closing, generation, g))
+    def _flushing_devices(self):
+        # a down shard neither buffers nor flushes; it rejoins behind the
+        # watermark with its clock jumped forward
+        if not self.runtime.any_down:
+            return range(self.n_devices)
+        down = self.runtime.shard_down
+        return [s for s in range(self.n_devices) if not down[s]]
 
-    def _complete_shard_flush(self, shard: int, epoch: int,
-                              generation: int,
-                              shard_generation: int = 0) -> None:
-        if generation != self._crash_generation:
-            return
-        if shard_generation != self._shard_generation[shard]:
-            return  # the flush device died with its shard
-        records = self._shard_inflight[shard].pop(epoch, [])
-        self._shard_persistent[shard] = epoch
-        self._awaiting.setdefault(epoch, {})[shard] = records
-        if self.runtime.any_down:
-            down = self.runtime.shard_down
-            watermark = min(p for s, p in enumerate(self._shard_persistent)
-                            if not down[s])
-        else:
-            watermark = min(self._shard_persistent)
-        while self.persistent_epoch < watermark:
-            next_epoch = self.persistent_epoch + 1
-            self._ack_epoch(next_epoch)
-            self.persistent_epoch = next_epoch
+    def _watermark(self) -> int:
+        if not self.runtime.any_down:
+            return super()._watermark()
+        down = self.runtime.shard_down
+        return min(p for s, p in enumerate(self._device_persistent)
+                   if not down[s])
 
-    def _ack_epoch(self, epoch: int) -> None:
-        """The watermark reached ``epoch`` on every shard: its records
-        are cluster-committed.  Append them to the durable logs, ack the
-        client-visible commits in seqno order, fold them into the
-        durable view."""
-        by_shard = self._awaiting.pop(epoch, {})
-        merged: List[LogRecord] = []
-        for shard in sorted(by_shard):
-            self.shard_logs[shard].extend(by_shard[shard])
-            merged.extend(by_shard[shard])
-        merged.sort(key=lambda r: r.seqno)
-        scheduler = self.scheduler
-        now = scheduler.now
-        nbytes = 0
-        acks = {} if scheduler.trace.enabled else None
+    def _on_durable(self, by_device: Dict[int, List[LogRecord]],
+                    records: List[LogRecord]) -> List[LogRecord]:
+        for shard in sorted(by_device):
+            self.shard_logs[shard].extend(by_device[shard])
         void = self._void_txns
-        for record in merged:
-            self.durable_log.append(record)
-            nbytes += record.nbytes
-            if void and record.txn_id in void:
-                # shard-crash residue: durable sibling records of a
-                # voided transaction reach the logs (a later recovery
-                # resolves against them) but are never acked, never
-                # vid-registered, never part of the decided set
-                continue
-            for image in record.writes:
-                self._durable_vids.add(image.vid)
+        if void:
+            # shard-crash residue: durable sibling records of a voided
+            # transaction reach the logs (a later recovery resolves
+            # against them) but are never acked, never vid-registered,
+            # never part of the decided set
+            records = [r for r in records if r.txn_id not in void]
+        for record in records:
             if isinstance(record, DecisionRecord):
                 self._decision_txns.add(record.txn_id)
-            if not isinstance(record, (PrepareRecord, DecisionMarker)):
-                # the client ack: plain single-shard records and 2PC
-                # decision records, exactly once per transaction
-                self.stats.record_commit(record.type_name, now,
-                                         now - record.first_start,
-                                         deadline=record.deadline)
-                if acks is not None:
-                    stat = acks.setdefault(record.type_name, [0, 0.0])
-                    stat[0] += 1
-                    stat[1] += now - record.first_start
-                self.acked_commits += 1
-                self.max_acked_seqno = record.seqno
+            if record.acked:
                 self._acked_txns.add(record.txn_id)
-        for record in merged:
-            if void and record.txn_id in void:
-                continue  # voided writes never reach the durable view
-            apply_record(self.durable_view, record)
-        self.log_records_total += len(merged)
-        self.log_bytes_total += nbytes
-        if scheduler.trace.enabled:
-            scheduler.trace.emit(TraceEvent(
-                now, EventKind.EPOCH, -1,
-                attrs={"epoch": epoch, "records": len(merged),
-                       "bytes": nbytes, "acks": acks,
-                       "shards": sorted(by_shard)}))
-        self._prune_checkpoints()
+        return records
+
+    def _txns_of(self, records: List[LogRecord]) -> Set[int]:
+        # markers reference *older* durable transactions — losing a
+        # marker never loses the transaction it points at
+        return {r.txn_id for r in records
+                if not isinstance(r, DecisionMarker)}
+
+    def _before_node_crash(self, now: float) -> None:
+        # a whole-cluster crash supersedes any partial-failure state:
+        # every shard restarts together, and truncating to the watermark
+        # evaporates the durable-but-unacked prepares blocked in doubt
+        self._blocked = []
+        runtime = self.runtime
+        scheduler = self.scheduler
+        for shard, until in enumerate(self._charged_down_until):
+            if runtime.shard_down[shard]:
+                runtime.mark_shard_up(shard)
+            if until <= now:
+                continue
+            # the crash ends this shard's outage now: the recovery span
+            # charged beyond it (the node recovery charges its own) is
+            # refunded, and the timeline and downtime metric cut back
+            workers = [w for w in range(self.config.n_workers)
+                       if runtime.shard_of_worker(w) == shard]
+            self.shard_downtime_total -= until - now
+            if scheduler.accountant is not None:
+                for worker_id in workers:
+                    scheduler.accountant.on_wait(worker_id, "recovery",
+                                                 now - until)
+            if scheduler.timeline is not None:
+                scheduler.timeline.cut_outage(now, until, shard, len(workers))
+        self._charged_down_until = [0.0] * self.n_devices
+        runtime.network.clear_faults()
+
+    def _prepare_replay(self):
+        resolutions = self.resolve_in_doubt()
+        aborted = {txn_id for txn_id, committed in resolutions.items()
+                   if not committed}
+        void = self._void_txns
+
+        def skip(record: LogRecord) -> bool:
+            # presumed abort: its images must not surface; shard-crash
+            # residue: never acked, never applied
+            return ((isinstance(record, PrepareRecord)
+                     and record.txn_id in aborted)
+                    or record.txn_id in void)
+        return skip, {"in_doubt": len(resolutions)}
+
+    def _swap_database(self, new_db: Database) -> None:
+        # re-shard before the CC re-binds: the executor caches the table
+        # dict at recovery exactly like at setup
+        self.runtime.shard_tables(new_db)
+        super()._swap_database(new_db)
 
     # ------------------------------------------------------------------ #
-    # whole-cluster crash and recovery
+    # in-doubt resolution at whole-node recovery
 
     def resolve_in_doubt(self) -> Dict[int, bool]:
         """Scan the durable shard logs for prepares without a local
@@ -479,13 +438,13 @@ class ClusterDurability(DurabilityManager):
         durable log: txn_id -> True (commit) / False (presumed abort).
         Called during recovery; public for the hand-built-log tests."""
         durable_decided: List[Set[int]] = [set()
-                                           for _ in range(self.n_shards)]
-        for shard in range(self.n_shards):
+                                           for _ in range(self.n_devices)]
+        for shard in range(self.n_devices):
             for record in self.shard_logs[shard]:
                 if isinstance(record, DecisionMarker):
                     durable_decided[shard].add(record.txn_id)
         resolutions: Dict[int, bool] = {}
-        for shard in range(self.n_shards):
+        for shard in range(self.n_devices):
             for record in self.shard_logs[shard]:
                 if not isinstance(record, PrepareRecord):
                     continue
@@ -515,20 +474,6 @@ class ClusterDurability(DurabilityManager):
     # ------------------------------------------------------------------ #
     # partial failure: one shard crashes, the rest keep running
 
-    def _staged_records(self) -> Iterator[LogRecord]:
-        """Every record not yet cluster-committed, in deterministic
-        order: current buffers, in-flight shard flushes, and flushed
-        epochs awaiting the watermark."""
-        for shard in range(self.n_shards):
-            yield from self._shard_buffers[shard]
-            inflight = self._shard_inflight[shard]
-            for epoch in sorted(inflight):
-                yield from inflight[epoch]
-        for epoch in sorted(self._awaiting):
-            by_shard = self._awaiting[epoch]
-            for shard in sorted(by_shard):
-                yield from by_shard[shard]
-
     def shard_crash(self, shard: int, downtime: float = 0.0) -> ShardCrashReport:
         """Crash exactly one shard at the current simulated time while
         the rest of the cluster keeps running.
@@ -545,21 +490,18 @@ class ClusterDurability(DurabilityManager):
         runtime = self.runtime
         now = scheduler.now
         self.shard_crash_count += 1
-        self._shard_generation[shard] += 1
-        shard_persistent = self._shard_persistent[shard]
+        self._device_generation[shard] += 1
+        shard_persistent = self._device_persistent[shard]
         violations: List[str] = []
         # -- truncate the shard to its own persistent epoch ---------------- #
-        lost_records: List[LogRecord] = list(self._shard_buffers[shard])
-        self._shard_buffers[shard] = []
-        inflight = self._shard_inflight[shard]
+        lost_records: List[LogRecord] = list(self._buffers[shard])
+        self._buffers[shard] = []
+        inflight = self._inflight[shard]
         for epoch in sorted(inflight):
             lost_records.extend(inflight[epoch])
         inflight.clear()
-        self._shard_flush_free[shard] = 0.0
-        # markers reference *older* durable transactions — losing a marker
-        # never loses the transaction it points at
-        lost: Set[int] = {r.txn_id for r in lost_records
-                          if not isinstance(r, DecisionMarker)}
+        self._flush_free[shard] = 0.0
+        lost = self._txns_of(lost_records)
         # -- dependency closure over every staged record ------------------- #
         # A staged survivor that read a voided version must be voided too,
         # or the acked prefix would stop being dependency-closed.
@@ -576,20 +518,20 @@ class ClusterDurability(DurabilityManager):
         # -- drop lost transactions from live shards' non-durable state ---- #
         # (records already durable on a live shard stay in its log as
         # residue; voiding keeps them from ever acking or applying)
-        for s in range(self.n_shards):
+        for s in range(self.n_devices):
             if s == shard:
                 continue
-            buffer = self._shard_buffers[s]
+            buffer = self._buffers[s]
             if any(r.txn_id in lost for r in buffer):
                 lost_records.extend(r for r in buffer if r.txn_id in lost)
-                self._shard_buffers[s] = [r for r in buffer
+                self._buffers[s] = [r for r in buffer
                                           if r.txn_id not in lost]
-            for epoch in sorted(self._shard_inflight[s]):
-                records = self._shard_inflight[s][epoch]
+            for epoch in sorted(self._inflight[s]):
+                records = self._inflight[s][epoch]
                 if any(r.txn_id in lost for r in records):
                     lost_records.extend(r for r in records
                                         if r.txn_id in lost)
-                    self._shard_inflight[s][epoch] = [
+                    self._inflight[s][epoch] = [
                         r for r in records if r.txn_id not in lost]
         self._void_txns.update(lost)
         self.lost_txn_ids.update(lost)
@@ -693,7 +635,7 @@ class ClusterDurability(DurabilityManager):
             for worker in shard_workers:
                 scheduler.accountant.on_wait(worker.worker_id, "recovery",
                                              charged_until - now)
-        timeline = getattr(scheduler, "timeline", None)
+        timeline = scheduler.timeline
         if timeline is not None and charged_until > now:
             timeline.on_recovery(now, charged_until, len(shard_workers))
             timeline.on_shard_down(now, charged_until, shard)
@@ -716,7 +658,7 @@ class ClusterDurability(DurabilityManager):
                        "restart": restart}))
         # -- schedule the rejoin ------------------------------------------- #
         generation = self._crash_generation
-        shard_generation = self._shard_generation[shard]
+        shard_generation = self._device_generation[shard]
         restart_salt = SHARD_RESTART_RNG_SALT + self.shard_crash_count
         scheduler.schedule_callback(
             restart, lambda: self._rejoin_shard(
@@ -786,15 +728,15 @@ class ClusterDurability(DurabilityManager):
         restart its pinned workers."""
         if generation != self._crash_generation:
             return  # a whole-node crash superseded this rejoin
-        if shard_generation != self._shard_generation[shard]:
+        if shard_generation != self._device_generation[shard]:
             return  # the shard crashed again before rejoining
         scheduler = self.scheduler
         runtime = self.runtime
         # rejoin *behind* the watermark: the shard's clock jumps to the
         # currently-open epoch, so its first flush registers for it and
         # the live watermark is unchanged by the rejoin
-        self._shard_persistent[shard] = self.current_epoch - 1
-        self._shard_flush_free[shard] = 0.0
+        self._device_persistent[shard] = self.current_epoch - 1
+        self._flush_free[shard] = 0.0
         # the message-dedup state restarts from what is provably durable
         decided = {r.txn_id for r in self.shard_logs[shard]
                    if isinstance(r, DecisionMarker)}
@@ -858,164 +800,7 @@ class ClusterDurability(DurabilityManager):
         self._blocked = still_blocked
         return resolutions
 
-    def node_crash(self) -> RecoveryReport:
-        scheduler = self.scheduler
-        now = scheduler.now
-        self.crash_count += 1
-        self._crash_generation += 1
-        # a whole-cluster crash supersedes any partial-failure state:
-        # every shard restarts together, and truncating to the watermark
-        # evaporates the durable-but-unacked prepares blocked in doubt
-        self._blocked = []
-        for s in range(self.n_shards):
-            self._shard_generation[s] += 1
-        if self.runtime.any_down:
-            for s in range(self.n_shards):
-                if self.runtime.shard_down[s]:
-                    self.runtime.mark_shard_up(s)
-        # -- truncate every shard to the cluster watermark ---------------- #
-        # Epochs flushed on only some shards (_awaiting) are discarded too:
-        # an epoch is committed only when durable everywhere, which is what
-        # keeps cross-shard commits atomic under failure.
-        lost_records: List[LogRecord] = []
-        for shard in range(self.n_shards):
-            lost_records.extend(self._shard_buffers[shard])
-            self._shard_buffers[shard] = []
-            for epoch in sorted(self._shard_inflight[shard]):
-                lost_records.extend(self._shard_inflight[shard][epoch])
-            self._shard_inflight[shard].clear()
-            self._shard_flush_free[shard] = 0.0
-        for epoch in sorted(self._awaiting):
-            for shard in sorted(self._awaiting[epoch]):
-                lost_records.extend(self._awaiting[epoch][shard])
-        self._awaiting.clear()
-        self._pending_cost.clear()
-        self.runtime.network.clear_faults()
-        lost_unflushed = len(lost_records)
-        # markers reference *older* durable transactions — losing a marker
-        # never loses the transaction it points at
-        self.lost_txn_ids.update(r.txn_id for r in lost_records
-                                 if not isinstance(r, DecisionMarker))
-        self.lost_unflushed_total += lost_unflushed
-        # -- kill every worker across the cluster ------------------------- #
-        lost_inflight = scheduler.crash_all_workers()
-        self.lost_inflight_total += lost_inflight
-        if scheduler.faults is not None:
-            scheduler.faults.on_node_crash()
-        # -- resolve in-doubt prepares, then replay ----------------------- #
-        resolutions = self.resolve_in_doubt()
-        aborted = {txn_id for txn_id, committed in resolutions.items()
-                   if not committed}
-        durable_seqno = self._durable_seqno()
-        checkpoint = self._usable_checkpoint()
-        allocator_seq = self.db.allocator._next_seq
-        new_db = Database.from_snapshot(checkpoint.snapshot,
-                                        allocator_seq=allocator_seq)
-        replayed = 0
-        for record in self.durable_log:
-            if record.seqno <= checkpoint.last_seqno:
-                continue
-            if isinstance(record, PrepareRecord) and record.txn_id in aborted:
-                continue  # presumed abort: its images must not surface
-            if self._void_txns and record.txn_id in self._void_txns:
-                continue  # shard-crash residue: never acked, never applied
-            apply_record(new_db, record)
-            replayed += 1
-        recovered_snapshot = new_db.snapshot()
-        # -- durability oracle -------------------------------------------- #
-        violations = verify_recovery(
-            self.durable_view, new_db, self.max_acked_seqno, durable_seqno,
-            self._durable_vids)
-        self.violations.extend(
-            f"durability(crash #{self.crash_count} @ {now}): {v}"
-            for v in violations)
-        # -- downtime, database swap, worker restart ---------------------- #
-        recovery_ticks = (self.dc.recovery_base
-                          + self.dc.replay_per_record * replayed)
-        self.recovery_ticks_total += recovery_ticks
-        restart = now + recovery_ticks
-        self.db = new_db
-        self.workload.db = new_db
-        # re-shard before the CC re-binds: the executor caches the table
-        # dict at recovery exactly like at setup
-        self.runtime.shard_tables(new_db)
-        self.cc.on_node_recovery(new_db)
-        charged_until = min(restart, self.config.duration)
-        if scheduler.accountant is not None and charged_until > now:
-            for worker_id in range(self.config.n_workers):
-                scheduler.accountant.on_wait(worker_id, "recovery",
-                                             charged_until - now)
-            # a down shard's workers were already charged recovery up to
-            # their rejoin point — refund the span the whole-node charge
-            # just covered twice
-            for s, until in enumerate(self._charged_down_until):
-                overlap = min(until, charged_until) - now
-                if overlap > 0:
-                    for worker_id in range(self.config.n_workers):
-                        if self.runtime.shard_of_worker(worker_id) == s:
-                            scheduler.accountant.on_wait(
-                                worker_id, "recovery", -overlap)
-        self._charged_down_until = [0.0] * self.n_shards
-        timeline = getattr(scheduler, "timeline", None)
-        if timeline is not None:
-            timeline.on_recovery(now, charged_until, self.config.n_workers)
-        if scheduler.trace.enabled:
-            scheduler.trace.emit(TraceEvent(
-                now, EventKind.NODE_CRASH, -1,
-                attrs={"persistent_epoch": self.persistent_epoch,
-                       "durable_seqno": durable_seqno,
-                       "lost_inflight": lost_inflight,
-                       "lost_unflushed": lost_unflushed,
-                       "in_doubt": len(resolutions)}))
-            scheduler.trace.emit(TraceEvent(
-                now, EventKind.RECOVERY, -1,
-                attrs={"checkpoint_seqno": checkpoint.last_seqno,
-                       "replayed": replayed,
-                       "recovery_ticks": recovery_ticks,
-                       "restart": restart}))
-        new_workers = [
-            self._worker_factory(
-                worker_id,
-                spawn_rng(self.config.seed, worker_id,
-                          RESTART_RNG_SALT + self.crash_count))
-            for worker_id in range(self.config.n_workers)
-        ]
-        scheduler.replace_workers(new_workers, restart)
-        scheduler.last_commit_time = max(scheduler.last_commit_time, restart)
-        # -- restart the epoch clocks at the watermark --------------------- #
-        self.current_epoch = self.persistent_epoch + 1
-        self._shard_persistent = [self.persistent_epoch] * self.n_shards
-        generation = self._crash_generation
-        scheduler.schedule_callback(
-            restart + self.dc.epoch_length,
-            lambda: self._on_epoch_boundary(generation))
-        self.checkpoints.append(Checkpoint(restart, durable_seqno,
-                                           recovered_snapshot))
-        self.checkpoints_taken += 1
-        self._prune_checkpoints()
-        if self.dc.checkpoint_interval > 0:
-            scheduler.schedule_callback(
-                restart + self.dc.checkpoint_interval,
-                lambda: self._on_checkpoint(generation))
-        report = RecoveryReport(
-            now, restart, self.persistent_epoch, durable_seqno,
-            checkpoint.last_seqno, replayed, lost_inflight, lost_unflushed,
-            recovery_ticks, violations, recovered_snapshot)
-        self.recoveries.append(report)
-        return report
-
     # ------------------------------------------------------------------ #
-
-    @property
-    def unflushed_records(self) -> int:
-        """Records not yet cluster-committed: current buffers, in-flight
-        shard flushes, and flushed epochs awaiting the watermark."""
-        total = sum(len(buf) for buf in self._shard_buffers)
-        for inflight in self._shard_inflight:
-            total += sum(len(records) for records in inflight.values())
-        for by_shard in self._awaiting.values():
-            total += sum(len(records) for records in by_shard.values())
-        return total
 
     def metrics_rows(self):
         rows = [
@@ -1034,9 +819,3 @@ class ClusterDurability(DurabilityManager):
                 ("cluster_voided_txns", float(len(self._void_txns))),
             ])
         return rows
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"ClusterDurability(shards={self.n_shards}, "
-                f"epoch={self.current_epoch}, "
-                f"watermark={self.persistent_epoch}, "
-                f"crashes={self.crash_count})")

@@ -55,6 +55,10 @@ class LogRecord:
                  "first_start", "commit_time", "writes", "nbytes",
                  "deadline", "reads")
 
+    #: the record's durability acks its transaction to the client (a
+    #: cluster's prepare records and decision markers do not)
+    acked = True
+
     def __init__(self, seqno: int, epoch: int, txn_id: int, worker_id: int,
                  type_name: str, first_start: float, commit_time: float,
                  writes: List[WriteImage],

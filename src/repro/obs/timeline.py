@@ -151,42 +151,45 @@ class TimelineSampler:
         shards = self._shard_commits.setdefault(index, {})
         shards[shard] = shards.get(shard, 0) + 1
 
-    def on_recovery(self, start: float, end: float, n_workers: int) -> None:
-        """Spread post-crash downtime (charged as ``wait:recovery``) across
-        every window the outage overlaps, ``n_workers`` ticks per tick."""
-        if end <= start:
-            return
+    def _spans(self, start: float, end: float):
+        """(window index, overlap ticks) for every window ``[start, end)``
+        overlaps, extending the observed range to cover them."""
         index = int(start // self.window)
         cursor = start
         while cursor < end:
             boundary = (index + 1) * self.window
-            span = min(end, boundary) - cursor
+            if index > self._max_window:
+                self._max_window = index
+            yield index, min(end, boundary) - cursor
+            cursor = boundary
+            index += 1
+
+    def on_recovery(self, start: float, end: float, n_workers: int) -> None:
+        """Spread post-crash downtime (charged as ``wait:recovery``) across
+        every window the outage overlaps, ``n_workers`` ticks per tick."""
+        for index, span in self._spans(start, end):
             waits = self._wait.setdefault(index, {})
             waits["recovery"] = waits.get("recovery", 0.0) \
                 + span * n_workers
-            if index > self._max_window:
-                self._max_window = index
-            cursor = boundary
-            index += 1
 
     def on_shard_down(self, start: float, end: float, shard: int) -> None:
         """Attribute one shard's outage to every window it overlaps
         (cluster shard-crash hook; never called otherwise, so timelines
         without shard crashes carry no down columns and stay
         byte-identical)."""
-        if end <= start:
-            return
-        index = int(start // self.window)
-        cursor = start
-        while cursor < end:
-            boundary = (index + 1) * self.window
-            span = min(end, boundary) - cursor
+        for index, span in self._spans(start, end):
             per_shard = self._shard_down.setdefault(index, {})
             per_shard[shard] = per_shard.get(shard, 0.0) + span
-            if index > self._max_window:
-                self._max_window = index
-            cursor = boundary
-            index += 1
+
+    def cut_outage(self, cut: float, end: float, shard: int,
+                   n_workers: int) -> None:
+        """A shard outage posted up to ``end`` (recovery wait for its
+        ``n_workers`` workers plus down time) ended early at ``cut``:
+        take the span ``[cut, end)`` back out of both."""
+        for index, span in self._spans(cut, end):
+            waits = self._wait[index]
+            waits["recovery"] -= span * n_workers
+            self._shard_down[index][shard] -= span
 
     # ------------------------------------------------------------------ #
     # reporting

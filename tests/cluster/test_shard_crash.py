@@ -12,6 +12,7 @@ scripted extra downtime.
 
 import pytest
 
+from repro.analysis import HistoryRecorder, SerializabilityChecker
 from repro.bench.runner import run_protocol
 from repro.cc import make_cc
 from repro.config import (ClusterConfig, DurabilityConfig, FrontendConfig,
@@ -19,10 +20,12 @@ from repro.config import (ClusterConfig, DurabilityConfig, FrontendConfig,
 from repro.cluster.durability import ClusterDurability, ShardCrashReport
 from repro.cluster.workloads import (make_cluster_micro_factory,
                                      make_cluster_tpcc_factory)
+from repro.durability.oracle import filter_history
 from repro.faults import FaultPlan, ScriptedFault
 from repro.faults.chaos import run_chaos_cell
 from repro.frontend import SHED_SHARD_DOWN
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import TimeAccountant, check_accounting
 from repro.obs.report import _summary_from_metrics, render_markdown
 from repro.obs.timeline import TimelineSampler
 
@@ -204,3 +207,41 @@ def test_crashing_the_last_live_shard_is_skipped():
     assert result.invariant_violations == []
     assert result.durability.shard_crash_count == 1
     assert result.durability.shard_crashes[0].shard == 0
+
+
+@pytest.mark.parametrize("cc_name", ["silo", "2pl", "ic3"])
+def test_node_crash_during_shard_outage_ends_the_outage(cc_name):
+    """A whole-node crash while a shard is down ends that shard's outage
+    at the crash instant: its workers' recovery charge, the timeline's
+    recovery and down columns and the downtime metric all stop there
+    (the node recovery then charges every worker on its own)."""
+    plan = FaultPlan(events=[
+        ScriptedFault(time=3_500.0, kind="shard_crash", worker=1,
+                      downtime=3_000.0),
+        ScriptedFault(time=4_500.0, kind="node_crash"),
+    ], name="shard-crash+node-crash")
+    config = make_config()
+    accountant = TimeAccountant(N_WORKERS, DURATION)
+    timeline = TimelineSampler(window=WINDOW, n_workers=N_WORKERS)
+    metrics = MetricsRegistry()
+    recorder = HistoryRecorder()
+    result = run_protocol(make_tpcc(), make_cc(cc_name), config,
+                          fault_plan=plan, accountant=accountant,
+                          timeline=timeline, metrics=metrics,
+                          recorder=recorder)
+    assert result.invariant_violations == []
+    assert check_accounting(accountant) is None
+    rows = timeline.rows()
+    assert sum(row.get("wait:recovery", 0.0) for row in rows) == \
+        pytest.approx(accountant.totals()["wait:recovery"])
+    down = [row.get("down_shard1", 0.0) for row in rows]
+    assert down[3] == pytest.approx(500.0)
+    assert down[4] == pytest.approx(500.0)
+    assert all(value == 0.0 for value in down[5:])
+    values = {row["name"]: row["value"] for row in metrics.snapshot()}
+    assert values["cluster_shard_downtime_total"] == pytest.approx(1_000.0)
+    durability = result.durability
+    assert durability.crash_count == 1 and durability.shard_crash_count == 1
+    history = filter_history(recorder, durability.lost_txn_ids)
+    checker = SerializabilityChecker(history)
+    assert checker.check(), checker.errors
