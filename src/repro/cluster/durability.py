@@ -679,9 +679,10 @@ class ClusterDurability(DurabilityManager):
         """Restore every live-database key whose current version was
         installed by a voided transaction to its newest surviving
         version: the latest non-voided staged write if one exists, else
-        the durable view's version, else a tombstone carrying the
-        initial version id (the key was created by voided transactions
-        only).  Returns the number of keys rolled back."""
+        the durable view's version (a durable delete comes back as a
+        tombstone carrying the delete's vid), else a tombstone carrying
+        the initial version id (the key was created by voided
+        transactions only).  Returns the number of keys rolled back."""
         poisoned_keys = sorted({(image.table, image.key)
                                 for record in lost_with_images
                                 for image in record.writes})
@@ -708,13 +709,11 @@ class ClusterDurability(DurabilityManager):
                 value = None if image.value is None else detach_row(image.value)
                 vid = image.vid
             else:
-                durable_table = self.durable_view._tables.get(table_name)
-                durable = (None if durable_table is None
-                           else durable_table._records.get(key))
+                durable = self.durable_view.get(table_name, {}).get(key)
                 if durable is not None:
-                    value = (None if durable.value is None
-                             else detach_row(durable.value))
-                    vid = durable.version_id
+                    vid, value = durable
+                    if value is not None:
+                        value = detach_row(value)
                 else:
                     value, vid = None, (INITIAL_TXN_ID, -1)
             table.restore_row(key, value, vid)

@@ -191,12 +191,16 @@ class DurabilityManager:
         self._awaiting: Dict[int, Dict[int, List[LogRecord]]] = {}
         #: the durable log: watermark-covered records in seqno order
         self.durable_log: List[LogRecord] = []
-        # one snapshot seeds both the durable view and the t=0 checkpoint:
-        # from_snapshot detaches every row, so the two never alias
+        # one snapshot seeds both the durable view and the t=0 checkpoint
         snapshot = db.snapshot()
         #: committed state implied by the durable log (recovery oracle's
-        #: expected state; updated incrementally as epochs become durable)
-        self.durable_view = Database.from_snapshot(snapshot)
+        #: expected state) as a snapshot-shaped dict, a delete kept as
+        #: ``(vid, None)``.  Copy-on-write over the t=0 checkpoint: the
+        #: table dicts are shallow copies sharing its row tuples, and
+        #: :meth:`_ack_epoch` replaces entries wholesale with log images
+        #: (why sharing is safe: :mod:`repro.durability.oracle`)
+        self.durable_view: Snapshot = {
+            name: dict(rows) for name, rows in snapshot.items()}
         #: version ids made durable so far (oracle: nothing else may
         #: surface in a recovered database)
         self._durable_vids: Set[tuple] = set()
@@ -368,8 +372,11 @@ class DurabilityManager:
                 stat[1] += now - record.first_start
             self.acked_commits += 1
             self.max_acked_seqno = record.seqno
+        view = self.durable_view
         for record in live:
-            apply_record(self.durable_view, record)
+            for image in record.writes:
+                view.setdefault(image.table, {})[image.key] = (image.vid,
+                                                               image.value)
         self.log_records_total += len(merged)
         self.log_bytes_total += nbytes
         if scheduler.trace.enabled:
@@ -517,8 +524,8 @@ class DurabilityManager:
         recovered_snapshot = new_db.snapshot()
         # -- durability oracle ------------------------------------------ #
         violations = verify_recovery(
-            self.durable_view, new_db, self.max_acked_seqno, durable_seqno,
-            self._durable_vids)
+            self.durable_view, recovered_snapshot, self.max_acked_seqno,
+            durable_seqno, self._durable_vids)
         self.violations.extend(
             f"durability(crash #{self.crash_count} @ {now}): {v}"
             for v in violations)

@@ -12,6 +12,17 @@ Three properties, straight from the Silo/SiloR contract:
    recovered database must have been written by a durable log record —
    nothing from an unflushed or in-flight transaction may reappear.
 
+The expected state is the manager's **durable view**, a snapshot-shaped
+dict (``{table: {key: (vid, value)}}``) rather than a second
+:class:`~repro.storage.database.Database`.  It starts as a per-table
+shallow copy of the t=0 checkpoint's snapshot and takes each durable
+write image as a whole new entry (a delete as ``(vid, None)``, so the
+tombstone keeps its version id).  Sharing is safe because nothing on
+either side is ever mutated: checkpoint tuples are only read (recovery
+detaches them into a fresh database), log images are detached at log
+time and only read, and the view replaces entries wholesale instead of
+updating them in place.
+
 :func:`filter_history` supports the serializability check *across* a
 crash: committed-but-lost transactions are erased from the recorded
 history.  This is sound *only if* the lost set is dependency-closed — no
@@ -36,24 +47,29 @@ from typing import Iterable, List, Set
 
 from ..analysis.serializability import HistoryRecorder
 from ..errors import ReproError
-from ..storage.database import Database, diff_snapshots
+from ..storage.database import Snapshot, diff_snapshots
 from ..storage.record import INITIAL_TXN_ID
 
 
-def verify_recovery(durable_view: Database, recovered: Database,
+def verify_recovery(expected: Snapshot, recovered: Snapshot,
                     max_acked_seqno: int, durable_seqno: int,
                     durable_vids: Set[tuple]) -> List[str]:
-    """Check one recovery against the oracle; returns violations ([] = OK)."""
+    """Check one recovery against the oracle; returns violations ([] = OK).
+
+    ``expected`` is the durable view; its tombstones (``(vid, None)``)
+    are absent keys, like in ``recovered`` (a :meth:`Database.snapshot`).
+    """
     problems: List[str] = []
-    recovered_snapshot = recovered.snapshot()
-    for mismatch in diff_snapshots(durable_view.snapshot(),
-                                   recovered_snapshot):
+    live = {name: {key: entry for key, entry in rows.items()
+                   if entry[1] is not None}
+            for name, rows in expected.items()}
+    for mismatch in diff_snapshots(live, recovered):
         problems.append(f"recovered state != durable prefix: {mismatch!r}")
     if max_acked_seqno > durable_seqno:
         problems.append(
             f"acked transaction lost: max acked seqno {max_acked_seqno} > "
             f"durable seqno {durable_seqno}")
-    for table_name, rows in recovered_snapshot.items():
+    for table_name, rows in recovered.items():
         for key, (vid, _value) in rows.items():
             if vid[0] != INITIAL_TXN_ID and vid not in durable_vids:
                 problems.append(
